@@ -11,12 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "engine/generation.h"
 #include "hw/chip.h"
 #include "obs/export.h"
 #include "serve/analytic.h"
+#include "serve/disagg.h"
 #include "serve/slots.h"
 #include "sim/trace.h"
 #include "util/metrics.h"
@@ -672,6 +674,93 @@ TEST(ServeRuntimeTest, RetainPageBudgetEvictsUnderPagePressure) {
   EXPECT_EQ(report.requests[3].shared_prefix_tokens, 0)
       << "A should have been evicted by page pressure";
   EXPECT_GE(metrics.GetCounter("serve/evicted_parents")->value(), 1);
+}
+
+// FNV-1a over every RequestRecord field (stamps as hex floats, so equal
+// digests mean bit-equal clocks) plus the run's step counts and makespan.
+uint64_t ScheduleDigest(const ServeReport& report) {
+  std::string text;
+  char buf[64];
+  auto stamp = [&](double v) {
+    std::snprintf(buf, sizeof(buf), "%a ", v);
+    text += buf;
+  };
+  for (const RequestRecord& r : report.requests) {
+    text += std::to_string(r.id) + ' ' + r.klass + ' ' +
+            std::to_string(r.shared_prefix_tokens) + ' ';
+    stamp(r.arrival);
+    stamp(r.admitted);
+    stamp(r.first_token);
+    stamp(r.finished);
+    for (int32_t t : r.tokens) text += std::to_string(t) + ',';
+    for (double t : r.token_times) stamp(t);
+    text += '\n';
+  }
+  text += std::to_string(report.prefill_chunks) + ' ' +
+          std::to_string(report.decode_steps) + ' ';
+  stamp(report.makespan);
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : text) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+// Mixed prompt lengths (1..5 chunks of 64), budgets including a
+// single-token request, staggered arrivals with an idle gap, two classes.
+std::vector<ServeRequest> PinnedWorkload(int64_t n, double gap) {
+  std::vector<ServeRequest> requests;
+  for (int64_t i = 0; i < n; ++i) {
+    ServeRequest r;
+    r.id = i;
+    r.arrival = gap * static_cast<double>(i % 4 == 3 ? i + 40 : i);
+    r.prompt = RandomTokens(40 + (i * 97) % 260, 256, 1000 + static_cast<uint64_t>(i));
+    r.max_new_tokens = i == 2 ? 1 : 3 + (i * 5) % 11;
+    r.klass = i % 3 == 0 ? "rag" : "interactive";
+    requests.push_back(std::move(r));
+  }
+  return requests;
+}
+
+// Pins today's schedules: every stamp, token and step count of an analytic
+// colocated run (with prefix sharing), a two-pool run where one request
+// retires from the prefill pool, and a two-pool run whose decode pool is
+// smaller than the load (migrations queue for lanes). The constants were
+// recorded before the two scheduler loops were merged into one.
+TEST(ServeSchedulePinTest, AnalyticSchedulesAreBitStable) {
+  const InferenceEstimator estimator(Palm62B(), TpuV4());
+  ServeOptions options;
+  options.prefill_chunk = 64;
+
+  AnalyticServeConfig colocated;
+  colocated.spec = PartitionSpec{Torus3D(2, 2, 2)};
+  colocated.num_slots = 4;
+  colocated.shared_prefix_len = 32;
+  AnalyticServeBackend backend(&estimator, colocated);
+  ServeOptions shared = options;
+  shared.share_prefixes = true;
+  const ServeReport one_pool =
+      RunContinuousServing(backend, PinnedWorkload(14, 0.02), shared);
+  ASSERT_EQ(one_pool.completed(), 14);
+  EXPECT_EQ(ScheduleDigest(one_pool), 0xf8689698f5dee009ull);
+
+  DisaggConfig dc;
+  dc.prefill_spec = PartitionSpec{Torus3D(2, 1, 1)};
+  dc.decode_spec = PartitionSpec{Torus3D(2, 2, 1)};
+  dc.prefill_slots = 2;
+  dc.decode_slots = 8;
+  dc.link.network_bw = TpuV4().network_bw;
+  const AnalyticDisaggRun two_pool =
+      RunAnalyticDisaggServing(estimator, dc, PinnedWorkload(12, 0.03), options);
+  ASSERT_EQ(two_pool.report.serve.completed(), 12);
+  EXPECT_EQ(two_pool.report.migrations, 11);  // request 2 retired at prefill
+  EXPECT_EQ(ScheduleDigest(two_pool.report.serve), 0x20f15d34620cb0efull);
+
+  dc.prefill_slots = 4;
+  dc.decode_slots = 2;
+  const AnalyticDisaggRun queued =
+      RunAnalyticDisaggServing(estimator, dc, PinnedWorkload(10, 0.001), options);
+  ASSERT_EQ(queued.report.serve.completed(), 10);
+  EXPECT_EQ(queued.report.migrations, 9);
+  EXPECT_EQ(ScheduleDigest(queued.report.serve), 0x2f0e156963928d56ull);
 }
 
 TEST(ServeQueueTest, OrdersByArrivalAndAdmits) {
