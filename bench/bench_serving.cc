@@ -385,20 +385,19 @@ int main(int argc, char** argv) {
 
   auto run_disagg = [&](const char* name, int prefill_chips,
                         int decode_chips) {
+    // Both pools weight-stationary: the analytic backend charges prefill
+    // chunks at batch 1 (§4.4's low-latency prefill), where the
+    // weight-gathered layouts lose their amortization and 2D-WS wins
+    // (bench_layouts) -- a real system would flip the prefill pool to
+    // weight-gathered only at large prefill batch. No prefill chips: one
+    // colocated pool on the decode spec.
     DisaggConfig dc;
-    dc.enabled = prefill_chips > 0;
-    dc.colocated_spec = pool_spec(64, FfnLayout::kWS2D);
-    dc.colocated_slots = 64;
-    if (dc.enabled) {
-      // Both pools weight-stationary: the analytic backend charges prefill
-      // chunks at batch 1 (§4.4's low-latency prefill), where the
-      // weight-gathered layouts lose their amortization and 2D-WS wins
-      // (bench_layouts) -- a real system would flip the prefill pool to
-      // weight-gathered only at large prefill batch.
+    dc.decode_spec = pool_spec(decode_chips, FfnLayout::kWS2D);
+    dc.decode_slots = 64;
+    dc.prefill_slots = 0;
+    if (prefill_chips > 0) {
       dc.prefill_spec = pool_spec(prefill_chips, FfnLayout::kWS2D);
-      dc.decode_spec = pool_spec(decode_chips, FfnLayout::kWS2D);
       dc.prefill_slots = 4;
-      dc.decode_slots = 64;
       dc.link.network_bw = est.chip().network_bw;
     }
     AnalyticDisaggRun run = RunAnalyticDisaggServing(est, dc, dreqs, dopt);
@@ -423,7 +422,7 @@ int main(int argc, char** argv) {
     r.makespan = run.report.serve.makespan;
     r.slo_ok = run.report.serve.slo.ok;
     r.slo_json = run.report.serve.slo.ToJson();
-    if (dc.enabled)
+    if (prefill_chips > 0)
       r.prefill_busy = run.prefill_busy_seconds /
                        std::max(run.report.prefill_makespan, 1e-12);
     r.decode_busy = run.decode_busy_seconds /

@@ -109,7 +109,10 @@ int main() {
   Table ft({"turn", "queue wait", "TTFT", "latency", "s/token", "tokens"});
   for (const auto& r : report.requests) {
     std::string toks;
-    for (int32_t tok : r.tokens) toks += (toks.empty() ? "" : " ") + std::to_string(tok);
+    for (int32_t tok : r.tokens) {
+      if (!toks.empty()) toks += ' ';
+      toks += std::to_string(tok);
+    }
     ft.AddRow({std::to_string(r.id), FormatMs(r.QueueWait()), FormatMs(r.Ttft()),
                FormatMs(r.Latency()), FormatMs(r.TimePerOutputToken()), toks});
   }

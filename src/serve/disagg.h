@@ -1,4 +1,4 @@
-// Disaggregated prefill/decode serving pools (ROADMAP item 2).
+// Disaggregated prefill/decode serving pools.
 //
 // The paper's central finding is that prefill and decode want DIFFERENT
 // partitioning layouts (weight-gathered vs. weight-stationary, §3.2-§3.3)
@@ -14,21 +14,23 @@
 //   * a DECODE pool (the rest) running the fixed decode frame under a
 //     weight-stationary layout at its own batch shape.
 //
-// A request is admitted to the prefill pool; when its last chunk samples
-// the first token, its paged KV state MIGRATES over the inter-pool
-// interconnect -- charged with the Appendix A.1 alpha+bandwidth model
-// (core/migration.h) identically in both backends, and actually moved
-// page-by-page with head re-chunking between attention shardings in the
-// functional engine (DistributedEngine::ExportSlot/ImportSlot). The
-// transfer occupies the LINK, not the chips: the prefill pool's next chunk
-// and every decode step overlap it. The link is a single serialized
-// channel -- a transfer starts at max(KV ready, link free, slot free).
+// Both pools run in the one serving event loop (serve/scheduler.h), of
+// which colocated serving is the one-pool case. A request is admitted to
+// the prefill pool; when its last chunk samples the first token, its paged
+// KV state MIGRATES over the inter-pool interconnect -- charged with the
+// Appendix A.1 alpha+bandwidth model (core/migration.h) identically in both
+// backends, and actually moved page-by-page with head re-chunking between
+// attention shardings in the functional engine
+// (DistributedEngine::ExportSlot/ImportSlot). The transfer occupies the
+// LINK, not the chips: the prefill pool's next chunk and every decode step
+// overlap it. The link is a single serialized channel -- a transfer starts
+// at max(KV ready, link free, slot free).
 //
 // Scheduling runs on two virtual clocks (one per pool) plus the link
 // timeline; RecordScheduler "migrate" spans land on the pid-1 scheduler
-// track between the pools' prefill/decode spans. Metrics:
-// serve/migrations, serve/migrated_kv_bytes, serve/migration_queue_depth,
-// serve/prefill_active, serve/decode_active.
+// track between the pools' prefill/decode spans. Two-pool runs add the
+// metrics serve/migrations, serve/migrated_kv_bytes,
+// serve/migration_queue_depth and serve/migration_s.
 //
 // Determinism: tokens keep the colocated contract -- a request's sequence
 // depends only on its prompt and its sampler stream. With greedy sampling
@@ -54,39 +56,18 @@ namespace tsi {
 
 class DistributedEngine;
 
-// How the torus is split between the pools, plus the colocated fallback.
-// The meshes are disjoint chip slices of one machine (e.g. a 1:3 split of
-// 64 chips = 16-chip prefill pool + 48-chip decode pool).
+// How the torus is split between the pools. The meshes are disjoint chip
+// slices of one machine (e.g. a 1:3 split of 64 chips = 16-chip prefill
+// pool + 48-chip decode pool). prefill_slots == 0 means no split: one
+// colocated pool on decode_spec/decode_slots serves both phases.
 struct DisaggConfig {
-  bool enabled = true;
   PartitionSpec prefill_spec;  // mesh = the prefill pool's chip slice
-  PartitionSpec decode_spec;   // mesh = the decode pool's chip slice
-  int64_t prefill_slots = 4;   // concurrent chunked prefills
+  PartitionSpec decode_spec;   // mesh = the decode pool's (or the one pool's)
+  int64_t prefill_slots = 4;   // concurrent chunked prefills; 0 = one pool
   int64_t decode_slots = 64;   // fixed decode frame (§4.4's decode batch)
   // The inter-pool link KV migrations cross: A.1 alpha + serialized
   // bandwidth, one transfer in flight at a time (core/migration.h).
   CommCostModel link;
-  // enabled == false: today's colocated path -- RunContinuousServing on
-  // ONE pool with this spec and frame.
-  PartitionSpec colocated_spec;
-  int64_t colocated_slots = 64;
-};
-
-// Moves one finished prefill's KV state into the decode pool and prices
-// the transfer. Implementations must charge through
-// EstimateKvMigration(core/migration.h) so the analytic and functional
-// byte counts agree exactly. Migrate performs the (host-side) data
-// movement immediately; the SCHEDULER owns the virtual timeline -- no
-// implementation advances a pool clock.
-class KvMigrator {
- public:
-  struct Result {
-    double bytes = 0;    // interconnect bytes shipped
-    double seconds = 0;  // link occupancy of this transfer
-  };
-  virtual ~KvMigrator() = default;
-  virtual Result Migrate(int64_t src_slot, int64_t dst_slot,
-                         int64_t context) = 0;
 };
 
 // Functional migrator: ExportSlot on the prefill engine (full-head
@@ -127,23 +108,6 @@ class AnalyticKvMigrator : public KvMigrator {
   CommCostModel link_;
 };
 
-struct DisaggReport {
-  ServeReport serve;            // per-request records, makespan, step counts
-  int64_t migrations = 0;       // completed KV transfers
-  double migrated_bytes = 0;    // total interconnect bytes
-  double link_busy_seconds = 0; // serialized transfer time on the link
-  double prefill_makespan = 0;  // prefill pool's clock when it drained
-  double decode_makespan = 0;   // decode pool's clock when it drained
-};
-
-// Two-pool continuous serving: admission and chunked prefill on `prefill`,
-// then KV migration over `migrator`'s link, then fixed-frame decode on
-// `decode`. See the file comment for the scheduling/overlap model.
-DisaggReport RunDisaggServing(ServeBackend& prefill, ServeBackend& decode,
-                              KvMigrator& migrator,
-                              std::vector<ServeRequest> requests,
-                              const ServeOptions& options);
-
 // The analytic run also reports per-pool utilization inputs (the
 // functional path reads them off its SimMachines instead).
 struct AnalyticDisaggRun {
@@ -154,16 +118,16 @@ struct AnalyticDisaggRun {
   double decode_processed_tokens = 0;
   // Summed per-phase CostBreakdowns the pool backends charged -- the
   // cross-check target for the roofline fold's per-span recomputation
-  // (obs/roofline.h). Colocated fallback: everything in decode_cost.
+  // (obs/roofline.h). One pool: everything lands in the decode_* fields.
   CostBreakdown prefill_cost;
   CostBreakdown decode_cost;
 };
 
-// Builds the two analytic pool backends and the migrator from `config` and
-// runs the two-pool loop -- or, when config.enabled is false, the
-// colocated RunContinuousServing baseline on colocated_spec (busy seconds
-// then land in decode_busy_seconds). This is what bench_serving sweeps at
-// Palm540B scale, where only the analytic backend can hold the model.
+// Builds the analytic pool backends (and, with two pools, the migrator) from
+// `config` and runs the serving loop. With prefill_slots == 0 the one
+// colocated pool's busy seconds, tokens and cost land in the decode_*
+// fields. This is what bench_serving sweeps at Palm540B scale, where only
+// the analytic backend can hold the model.
 AnalyticDisaggRun RunAnalyticDisaggServing(const InferenceEstimator& estimator,
                                            const DisaggConfig& config,
                                            std::vector<ServeRequest> requests,
@@ -171,14 +135,14 @@ AnalyticDisaggRun RunAnalyticDisaggServing(const InferenceEstimator& estimator,
 
 // Bring-up plan selection from a tuned PlanCache (plan/autotune.h): replaces
 // each pool's PartitionSpec with the cached winner for its operating point
-// -- prefill pool at (batch 1, expected_prompt), decode pool at
-// (decode_slots, expected_context), colocated fallback at (colocated_slots,
-// expected_context) under kDecode. Unlike the per-step consult inside
-// AnalyticServeBackend, bring-up may adopt the WHOLE spec (mesh shape,
-// attention sharding, format): nothing is resident yet, and migration
-// between the pools re-shards KV anyway. Pool chip counts come from the
-// meshes already in `config` and are preserved. Returns how many specs were
-// replaced (0..3); misses leave the hand-configured spec in place.
+// -- prefill pool at (batch 1, expected_prompt) when there is one, decode
+// (or the one colocated) pool at (decode_slots, expected_context) under
+// kDecode. Unlike the per-step consult inside AnalyticServeBackend, bring-up
+// may adopt the WHOLE spec (mesh shape, attention sharding, format): nothing
+// is resident yet, and migration between the pools re-shards KV anyway.
+// Pool chip counts come from the meshes already in `config` and are
+// preserved. Returns how many specs were replaced (0..2); misses leave the
+// hand-configured spec in place.
 int ApplyPlanCache(const plan::PlanCache& plans, const std::string& model,
                    double expected_prompt, double expected_context,
                    DisaggConfig* config);

@@ -1,8 +1,8 @@
 #include "serve/queue.h"
 
 #include <algorithm>
+#include <cmath>
 
-#include "core/serving.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -38,6 +38,20 @@ ServeRequest RequestQueue::Pop() {
 double RequestQueue::NextArrival() const {
   TSI_CHECK(!pending_.empty());
   return pending_.front().arrival;
+}
+
+std::vector<double> PoissonArrivals(double rate, int64_t count, uint64_t seed) {
+  TSI_CHECK_GT(rate, 0);
+  Rng rng(seed);
+  std::vector<double> arrivals;
+  arrivals.reserve(static_cast<size_t>(count));
+  double t = 0;
+  for (int64_t i = 0; i < count; ++i) {
+    // Exponential inter-arrival gaps.
+    t += -std::log(1.0 - rng.NextDouble()) / rate;
+    arrivals.push_back(t);
+  }
+  return arrivals;
 }
 
 std::vector<ServeRequest> PoissonRequests(double rate, int64_t count,

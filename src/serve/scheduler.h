@@ -1,20 +1,32 @@
-// Continuous-batching scheduler (§3.5 incremental prefill, §4.4 mixed
-// batching) over an abstract serving backend.
+// The serving event loop: continuous batching (§3.5 incremental prefill,
+// §4.4 mixed batching) over one or two abstract serving backends.
 //
-// Policy, per iteration:
-//   1. admit every arrived request that fits a free KV slot (queue wait ends
-//      at admission);
-//   2. process ONE prefill chunk -- up to `prefill_chunk` prompt tokens --
-//      for EACH admitted request still in prefill, oldest first (§3.5's
-//      incremental processing: long prompts are fed in pieces so decode is
-//      never starved for more than one chunk per request, while newly
-//      admitted requests reach the decode frame without queueing behind one
-//      prompt at a time);
-//   3. run ONE decode step across every request that has finished its
-//      prefill, retiring sequences that hit EOS or their token budget and
-//      freeing their slots for reuse;
-//   4. if nothing was runnable, fast-forward the virtual clock to the next
-//      arrival.
+// A run has a PREFILL pool and a DECODE pool. Colocated serving is the
+// one-pool case -- both are the same backend and no KV migrates; a
+// disaggregated run (serve/disagg.h) gives each phase its own pool and
+// moves each finished prefill's KV over a KvMigrator's link. Per iteration:
+//   1. two pools: return prefill slots whose migration has completed by
+//      the prefill clock, then start queued migrations FIFO while decode
+//      slots are free (a transfer holds the link from max(KV ready, link
+//      free, slot free); the pools' chips keep working meanwhile);
+//   2. admit every arrived request that fits a free prefill slot (queue
+//      wait ends at admission; with share_prefixes the backend may fork a
+//      cached KV prefix first);
+//   3. feed ONE prefill chunk -- up to `prefill_chunk` prompt tokens -- to
+//      EACH admitted request still in prefill, oldest first (§3.5: a long
+//      prompt stalls decode for at most one chunk per iteration, and newly
+//      admitted requests reach the decode frame without queueing behind
+//      one prompt at a time). A request whose last chunk sampled its first
+//      token retires if that was its budget; otherwise it joins the decode
+//      frame in the same slot and iteration (one pool) or queues for
+//      migration (two pools);
+//   4. two pools: migrations that have landed by the decode clock join the
+//      decode frame;
+//   5. run ONE decode step across every lane of the frame (lanes in
+//      admission order), retiring sequences that hit EOS or their token
+//      budget and freeing their slots for reuse;
+//   6. if nothing ran, fast-forward each pool to its next event: the next
+//      arrival or prefill-slot release, and the next migration landing.
 //
 // The same loop drives two backends: the functional DistributedEngine
 // (serve/runtime.h; real sharded forward passes on the SPMD simulator,
@@ -134,8 +146,9 @@ struct ServeReport {
 };
 
 // What the scheduler needs from an execution substrate. One backend instance
-// serves one replica: prefill chunks and decode steps share its chips (and
-// its virtual clock), which is exactly the §3.5 interleaving being modelled.
+// is one pool: everything it runs shares its chips and its virtual clock --
+// in the one-pool case both phases, which is exactly the §3.5 interleaving
+// being modelled.
 class ServeBackend {
  public:
   struct DecodeLane {
@@ -172,8 +185,49 @@ class ServeBackend {
   }
 };
 
+// Moves one finished prefill's KV state into the decode pool and prices
+// the transfer. Implementations must charge through
+// EstimateKvMigration (core/migration.h) so the analytic and functional
+// byte counts agree exactly. Migrate performs the (host-side) data
+// movement immediately; the SCHEDULER owns the virtual timeline -- no
+// implementation advances a pool clock.
+class KvMigrator {
+ public:
+  struct Result {
+    double bytes = 0;    // interconnect bytes shipped
+    double seconds = 0;  // link occupancy of this transfer
+  };
+  virtual ~KvMigrator() = default;
+  virtual Result Migrate(int64_t src_slot, int64_t dst_slot,
+                         int64_t context) = 0;
+};
+
+struct DisaggReport {
+  ServeReport serve;            // per-request records, makespan, step counts
+  int64_t migrations = 0;       // completed KV transfers
+  double migrated_bytes = 0;    // total interconnect bytes
+  double link_busy_seconds = 0; // serialized transfer time on the link
+  double prefill_makespan = 0;  // prefill pool's clock when it drained
+  double decode_makespan = 0;   // decode pool's clock when it drained
+};
+
+// The event loop (file comment). One pool: &prefill == &decode and no
+// migrator. Two pools: distinct backends joined by `migrator`; prefix
+// sharing does not compose with migration (a forked slot's COW pages would
+// detach) and dies loudly.
+DisaggReport RunServing(ServeBackend& prefill, ServeBackend& decode,
+                        KvMigrator* migrator, std::vector<ServeRequest> requests,
+                        const ServeOptions& options);
+
+// One pool: RunServing(backend, backend, nullptr, ...).serve.
 ServeReport RunContinuousServing(ServeBackend& backend,
                                  std::vector<ServeRequest> requests,
                                  const ServeOptions& options);
+
+// Two pools: RunServing(prefill, decode, &migrator, ...).
+DisaggReport RunDisaggServing(ServeBackend& prefill, ServeBackend& decode,
+                              KvMigrator& migrator,
+                              std::vector<ServeRequest> requests,
+                              const ServeOptions& options);
 
 }  // namespace tsi

@@ -63,6 +63,13 @@ class LogMessage {
   std::ostringstream ss_;
 };
 
+// Swallows a finished message chain so the TSI_LOG/TSI_CHECK expressions
+// are void in both arms.
+struct Voidify {
+  template <typename T>
+  void operator&(T&&) {}
+};
+
 // Stream-collector so TSI_CHECK(x) << "context" works.
 class CheckMessage {
  public:
@@ -85,16 +92,23 @@ class CheckMessage {
 
 }  // namespace tsi
 
-#define TSI_LOG(severity)                                              \
-  if (!::tsi::LogEnabled(::tsi::internal::kLog##severity)) {           \
-  } else                                                               \
-    ::tsi::internal::LogMessage(::tsi::internal::kLog##severity,       \
-                                __FILE__, __LINE__)
+// Both macros are one conditional expression, not an if/else: the message
+// chain `<< ...` binds tighter than `&`, which binds tighter than `?:`, and
+// Voidify makes both arms void. With no `else` inside, a macro used as the
+// body of an unbraced `if` can neither capture a following `else` nor trip
+// -Wdangling-else (the switch-based ambiguous-else blocker does not silence
+// GCC 12).
+#define TSI_LOG(severity)                                                \
+  !::tsi::LogEnabled(::tsi::internal::kLog##severity)                    \
+      ? (void)0                                                          \
+      : ::tsi::internal::Voidify() &                                     \
+            ::tsi::internal::LogMessage(::tsi::internal::kLog##severity, \
+                                        __FILE__, __LINE__)
 
-#define TSI_CHECK(cond)                                             \
-  if (cond) {                                                       \
-  } else                                                            \
-    ::tsi::internal::CheckMessage(__FILE__, __LINE__, #cond)
+#define TSI_CHECK(cond)                  \
+  (cond) ? (void)0                       \
+         : ::tsi::internal::Voidify() &  \
+               ::tsi::internal::CheckMessage(__FILE__, __LINE__, #cond)
 
 #define TSI_CHECK_EQ(a, b) TSI_CHECK((a) == (b)) << " (" << (a) << " vs " << (b) << ") "
 #define TSI_CHECK_NE(a, b) TSI_CHECK((a) != (b)) << " (" << (a) << " vs " << (b) << ") "

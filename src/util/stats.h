@@ -1,10 +1,9 @@
 // Shared summary statistics for latency/throughput reporting.
 //
 // One implementation of mean/percentile used by every layer that reports
-// request latencies: the analytical serving simulator (core/serving.h), the
-// continuous-batching runtime (serve/scheduler.h), the obs reporters
-// (obs::Histogram sample quantiles, obs/anatomy.h, obs/slo.h), and the
-// benches.
+// request latencies: the serving loop's reports (serve/scheduler.h), the
+// obs reporters (obs::Histogram sample quantiles, obs/anatomy.h,
+// obs/slo.h), and the benches.
 //
 // THE percentile contract (all reporters share it, so an anatomy report and
 // a bench summary can never disagree on the same data): linear interpolation

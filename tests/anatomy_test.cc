@@ -360,7 +360,6 @@ TEST(RooflineTest, DisaggAnalyticPhaseSumsMatchPerPoolCosts) {
   ModelConfig cfg = TinyTestModel();
   InferenceEstimator estimator = IdealEstimator(cfg);
   DisaggConfig dc;
-  dc.enabled = true;
   dc.prefill_spec = PartitionSpec{Torus3D(2, 1, 1), FfnLayout::kWS2D,
                                   AttnSharding::kBatch, WeightFormat::kBf16};
   dc.decode_spec = PartitionSpec{Torus3D(2, 2, 1), FfnLayout::kWS2D,

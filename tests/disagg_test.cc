@@ -8,6 +8,8 @@
 //     (both route through EstimateKvMigration);
 //   * the closed-form migration cost matches the A.1 page-padded formula;
 //   * migrating a non-resident or COW-shared slot dies loudly;
+//   * a two-pool run exports the colocated serve/ metrics too, and only it
+//     registers the migration metrics;
 //   * under a concurrent long-context prefill, the disaggregated decode
 //     pool's inter-token tail beats the colocated run's.
 #include "serve/disagg.h"
@@ -257,6 +259,48 @@ TEST(DisaggServingTest, RejectsPrefixSharing) {
                "prefix sharing");
 }
 
+TEST(DisaggServingTest, ExportsTheColocatedServeMetrics) {
+  // One loop serves both modes, so a two-pool run exports the same serve/
+  // metrics as a colocated one -- prefill tokens, chunk sizes, decode lane
+  // counts -- plus the migration metrics only it has.
+  ModelConfig cfg = TinyTestModel();
+  InferenceEstimator estimator(cfg, TpuV4());
+  DisaggConfig dc;
+  dc.prefill_spec = PartitionSpec{Torus3D(2, 1, 1)};
+  dc.decode_spec = PartitionSpec{Torus3D(2, 2, 1)};
+  dc.prefill_slots = 2;
+  dc.decode_slots = 4;
+  dc.link = TestLink();
+  const std::vector<ServeRequest> requests = StaggeredRequests(cfg);
+  int64_t prompt_tokens = 0;
+  for (const ServeRequest& r : requests)
+    prompt_tokens += static_cast<int64_t>(r.prompt.size());
+
+  obs::MetricsRegistry metrics;
+  ServeOptions options = GreedyOptions(/*prefill_chunk=*/3);
+  options.metrics = &metrics;
+  const AnalyticDisaggRun run =
+      RunAnalyticDisaggServing(estimator, dc, requests, options);
+  ASSERT_EQ(run.report.serve.completed(), 6);
+  const std::string json = metrics.ToJson();
+  for (const char* name : {"serve/prefill_tokens", "serve/prefill_chunk_tokens",
+                           "serve/decode_lanes", "serve/migrations"})
+    EXPECT_NE(json.find(name), std::string::npos) << name;
+  EXPECT_EQ(metrics.GetCounter("serve/prefill_tokens")->value(), prompt_tokens);
+  EXPECT_EQ(metrics.GetHistogram("serve/decode_lanes", {})->Take().count,
+            run.report.serve.decode_steps);
+  EXPECT_EQ(metrics.GetHistogram("serve/prefill_chunk_tokens", {})->Take().count,
+            run.report.serve.prefill_chunks);
+
+  // The one-pool run of the same config registers no migration metrics.
+  obs::MetricsRegistry colocated_metrics;
+  options.metrics = &colocated_metrics;
+  dc.prefill_slots = 0;
+  RunAnalyticDisaggServing(estimator, dc, requests, options);
+  EXPECT_EQ(colocated_metrics.ToJson().find("serve/migration"),
+            std::string::npos);
+}
+
 TEST(DisaggServingTest, ShieldsDecodeTailFromLongContextPrefill) {
   // The tentpole scenario: short interactive requests decode while
   // long-context (RAG) prompts prefill. Colocated, each scheduler iteration
@@ -287,22 +331,20 @@ TEST(DisaggServingTest, ShieldsDecodeTailFromLongContextPrefill) {
   }
 
   DisaggConfig dc;
-  dc.enabled = false;
-  dc.colocated_spec = PartitionSpec{Torus3D(2, 2, 1)};
-  dc.colocated_slots = 16;
   dc.prefill_spec = PartitionSpec{Torus3D(2, 1, 1)};
   dc.decode_spec = PartitionSpec{Torus3D(2, 2, 1)};
-  dc.prefill_slots = 4;
+  dc.prefill_slots = 0;  // one colocated pool on the decode spec
   dc.decode_slots = 16;
   dc.link = TestLink();
   AnalyticDisaggRun colocated =
       RunAnalyticDisaggServing(estimator, dc, requests, options);
-  dc.enabled = true;
+  dc.prefill_slots = 4;
   AnalyticDisaggRun disagg =
       RunAnalyticDisaggServing(estimator, dc, requests, options);
 
   ASSERT_EQ(colocated.report.serve.completed(), 10);
   ASSERT_EQ(disagg.report.serve.completed(), 10);
+  EXPECT_EQ(colocated.report.migrations, 0);
   EXPECT_EQ(disagg.report.migrations, 10);
 
   auto interactive_tail = [](const ServeReport& r) {

@@ -36,16 +36,17 @@ std::string CaseName(const ::testing::TestParamInfo<EngineCase>& info) {
   const auto& p = info.param;
   std::string s = std::to_string(p.x) + "x" + std::to_string(p.y) + "x" +
                   std::to_string(p.z);
-  auto clean = [](std::string v) {
-    std::string out;
+  // Appends "_" and v's alphanumerics.
+  auto add = [&s](const std::string& v) {
+    s += '_';
     for (char c : v)
-      if (isalnum(static_cast<unsigned char>(c))) out += c;
-    return out;
+      if (isalnum(static_cast<unsigned char>(c))) s += c;
   };
-  s += "_" + clean(ToString(p.prefill_ffn)) + "_" + clean(ToString(p.decode_ffn));
-  s += "_" + clean(ToString(p.attn));
+  add(ToString(p.prefill_ffn));
+  add(ToString(p.decode_ffn));
+  add(ToString(p.attn));
   s += p.variant == 0 ? "_mqa" : (p.variant == 1 ? "_mha" : "_gqa");
-  s += "_" + clean(ToString(p.format));
+  add(ToString(p.format));
   if (p.fused) s += "_fused";
   return s;
 }

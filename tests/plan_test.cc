@@ -538,7 +538,6 @@ TEST(ServePlanTest, ApplyPlanCacheAdoptsPoolSpecsAtBringUp) {
   dc.prefill_spec.ffn = FfnLayout::kWS1D;
   dc.decode_spec.mesh = Torus3D(1, 2, 2);
   dc.decode_spec.ffn = FfnLayout::kWS1D;
-  dc.colocated_spec.mesh = Torus3D(2, 2, 2);
 
   PartitionSpec tuned_prefill;
   tuned_prefill.mesh = Torus3D(2, 1, 1);  // re-factorizes the 2-chip slice
@@ -553,7 +552,6 @@ TEST(ServePlanTest, ApplyPlanCacheAdoptsPoolSpecsAtBringUp) {
       MakePlan(config.name, 2, Phase::kPrefill, 1, 1024, tuned_prefill));
   cache.Insert(MakePlan(config.name, 4, Phase::kDecode, dc.decode_slots,
                         2048, tuned_decode));
-  // No plan for the 8-chip colocated fallback: it must keep its spec.
 
   int adopted = ApplyPlanCache(cache, config.name, /*expected_prompt=*/1024,
                                /*expected_context=*/2048, &dc);
@@ -562,8 +560,18 @@ TEST(ServePlanTest, ApplyPlanCacheAdoptsPoolSpecsAtBringUp) {
   EXPECT_EQ(dc.prefill_spec.attn, AttnSharding::kBatch);
   EXPECT_EQ(dc.prefill_spec.mesh.x(), 2);
   EXPECT_EQ(dc.decode_spec.mesh.y(), 4);
-  EXPECT_EQ(dc.colocated_spec.mesh.num_chips(), 8);
-  EXPECT_EQ(dc.colocated_spec.ffn, FfnLayout::kWS2D);  // untouched default
+
+  // No split (prefill_slots == 0): the one pool runs on decode_spec, so only
+  // it adopts -- the cached prefill plan for the 2-chip slice goes unused.
+  DisaggConfig one_pool;
+  one_pool.prefill_spec.mesh = Torus3D(1, 2, 1);
+  one_pool.prefill_slots = 0;
+  one_pool.decode_spec.mesh = Torus3D(1, 2, 2);
+  EXPECT_EQ(ApplyPlanCache(cache, config.name, /*expected_prompt=*/1024,
+                           /*expected_context=*/2048, &one_pool),
+            1);
+  EXPECT_EQ(one_pool.prefill_spec.ffn, FfnLayout::kWS2D);  // untouched default
+  EXPECT_EQ(one_pool.decode_spec.mesh.y(), 4);
 }
 
 }  // namespace

@@ -720,11 +720,11 @@ std::vector<ServeRequest> PinnedWorkload(int64_t n, double gap) {
   return requests;
 }
 
-// Pins today's schedules: every stamp, token and step count of an analytic
+// Pins the loop's schedules: every stamp, token and step count of an analytic
 // colocated run (with prefix sharing), a two-pool run where one request
 // retires from the prefill pool, and a two-pool run whose decode pool is
-// smaller than the load (migrations queue for lanes). The constants were
-// recorded before the two scheduler loops were merged into one.
+// smaller than the load (migrations queue for lanes). A changed constant is
+// a changed schedule, so it must be deliberate.
 TEST(ServeSchedulePinTest, AnalyticSchedulesAreBitStable) {
   const InferenceEstimator estimator(Palm62B(), TpuV4());
   ServeOptions options;

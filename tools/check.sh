@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI-style check: build + test the Release configuration, then build + test
-# a ThreadSanitizer configuration (-DTSI_TSAN=ON). Run from anywhere:
+# CI-style check: build + test the Release configuration (with -Werror),
+# then build + test a ThreadSanitizer configuration (-DTSI_TSAN=ON). Run
+# from anywhere:
 #
 #   tools/check.sh            # both configs, all tests
 #   TSI_TSAN_TESTS='threadpool_test|determinism_test|threaded_test' tools/check.sh
@@ -44,8 +45,10 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc)"
 
+# The Release build is warning-free and must stay so: -Werror.
 echo "== Release build =="
-cmake -B "$repo/build-check" -S "$repo" -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake -B "$repo/build-check" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$repo/build-check" -j "$jobs"
 ctest --test-dir "$repo/build-check" --output-on-failure -j "$jobs"
 
