@@ -35,7 +35,17 @@ BENCHMARK(BM_MatMul)
     ->Args({64, 64, 64})
     ->Args({128, 128, 128})
     ->Args({512, 2048, 2048})
-    ->Args({1024, 4096, 4096});  // the ISSUE-1 acceptance shape
+    ->Args({1024, 4096, 4096})  // the kernel-layer acceptance shape
+    // Per-chip decode shapes the engine runs (m = lanes; [k x n] = the FFN
+    // in/out weight shards): weight-bandwidth-bound, skinny in m.
+    ->Args({1, 1152, 2304})
+    ->Args({8, 1152, 2304})
+    ->Args({16, 1152, 2304})
+    ->Args({64, 1152, 2304})
+    ->Args({1, 2304, 1152})
+    ->Args({8, 2304, 1152})
+    ->Args({16, 2304, 1152})
+    ->Args({64, 2304, 1152});
 
 // The seed repository's MatMul (i-k-j, double accumulator row, no blocking,
 // no SIMD) -- kept runnable as the "before" row of BENCH_micro.json so the
@@ -81,6 +91,21 @@ void BM_MatMulGelu(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
 BENCHMARK(BM_MatMulGelu)->Args({256, 1024, 4096});
+
+void BM_MatMulSwishMulGate(benchmark::State& state) {
+  // The gated FFN-in pair at a decode shape: two weight shards, one pass.
+  int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  Rng rng(8);
+  Tensor a = Tensor::Gaussian({m, k}, rng);
+  Tensor b = Tensor::Gaussian({k, n}, rng);
+  Tensor b_gate = Tensor::Gaussian({k, n}, rng);
+  for (auto _ : state) {
+    Tensor c = MatMulSwishMulGate(a, b, b_gate);
+    benchmark::DoNotOptimize(c);
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * 2 * m * k * n);
+}
+BENCHMARK(BM_MatMulSwishMulGate)->Args({16, 1152, 2304});
 
 void BM_BatchMatMul(benchmark::State& state) {
   int64_t b = state.range(0), n = state.range(1);

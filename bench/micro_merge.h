@@ -6,7 +6,9 @@
 // records each and must not clobber the kernel numbers. MergeIntoBenchJson
 // re-reads the existing document with util/json's parser, upserts records
 // keyed by (op, shape), and rewrites the file in JsonFileReporter's exact
-// format, so the perf trajectory accumulates across binaries.
+// format, so the perf trajectory accumulates across binaries. The document
+// also records the host of its latest writer (cores, ISA, pool threads), so
+// numbers from different machines are never compared unknowingly.
 #pragma once
 
 #include <cstdio>
@@ -14,10 +16,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/json.h"
 #include "util/logging.h"
+#include "util/threadpool.h"
 
 namespace tsi {
 
@@ -59,6 +63,25 @@ inline std::vector<MicroRecord> ReadBenchJson(const std::string& path) {
   return recs;
 }
 
+// The host this process runs on: hardware threads, the x86 vector ISAs the
+// CPU supports, and the kernel pool's participating threads
+// (TSI_NUM_THREADS, else all hardware threads).
+inline std::string HostJson() {
+  bool avx2 = false, avx512f = false;
+#if defined(__x86_64__) || defined(__i386__)
+  avx2 = __builtin_cpu_supports("avx2");
+  avx512f = __builtin_cpu_supports("avx512f");
+#endif
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "{\"cores\": %u, \"avx2\": %s, \"avx512f\": %s, "
+                "\"threads\": %d}",
+                std::thread::hardware_concurrency(), avx2 ? "true" : "false",
+                avx512f ? "true" : "false",
+                ThreadPool::Global().concurrency());
+  return buf;
+}
+
 inline void WriteBenchJson(const std::string& path,
                            const std::vector<MicroRecord>& recs) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -66,7 +89,8 @@ inline void WriteBenchJson(const std::string& path,
     TSI_LOG(ERROR) << "WriteBenchJson: cannot write " << path;
     return;
   }
-  std::fprintf(f, "{\n  \"benchmarks\": [\n");
+  std::fprintf(f, "{\n  \"host\": %s,\n  \"benchmarks\": [\n",
+               HostJson().c_str());
   for (size_t i = 0; i < recs.size(); ++i) {
     const MicroRecord& r = recs[i];
     std::fprintf(f,

@@ -13,20 +13,25 @@
 // fallback, and every pool size produce bit-identical bytes. See
 // docs/kernels.md and tests/determinism_test.cc.
 //
-// Blocking scheme (per 2-D matmul of A:[m,k] @ B:[k,n]):
-//   * K is split into kc <= kKC blocks, processed sequentially. A double
-//     scratch C_acc carries the partial fma chains across blocks, so the
-//     per-element order is exactly k-ascending regardless of kKC.
-//   * Within a block, B[k0:k0+kc, :] is packed into kNR-wide double panels
-//     (Bp[panel][kk][kNR]) and A[:, k0:k0+kc] into kMR-tall double tiles
-//     (Ap[tile][kk][kMR]); packing converts float->double once and makes the
-//     microkernel's loads contiguous (and the A broadcast a single uop).
+// Blocking scheme (per 2-D matmul of A:[m,k] @ B:[k,n]), one path for every
+// shape from a decode step (m = 1..64) to a prefill chunk:
+//   * A is packed once per call into kMR-tall double row tiles
+//     (Ap[tile][kk][kMR], all of k); the row-norm prologue, if any, is
+//     applied here, so each normalized element is computed once.
+//   * ParallelFor splits the kNR-wide column panels of B. A panel task walks
+//     K in kc <= kKC blocks, sequentially: it converts B[k0:k0+kc, panel]
+//     (float -> double, exact) into a thread-local kc x kNR strip that stays
+//     in cache, then runs every row tile against that strip. A thread-local
+//     double accumulator [tiles*kMR][kNR] carries the partial fma chains
+//     across blocks, so the per-element order is exactly k-ascending.
+//     B -- the static weight -- is read once per call and never copied whole.
 //   * The microkernel holds a kMR x kNR accumulator tile in registers and
-//     runs the full kc depth. Ragged edges are zero-padded in the packs
-//     (zero rows/cols accumulate zeros and are simply not written back), so
-//     there is a single microkernel path.
-//   * ParallelFor distributes panels (packing) and row tiles (compute);
-//     parallelism only changes which thread owns a tile, never the
+//     runs the full kc depth. Ragged edges are zero-padded in the pack and
+//     the strip (zero rows/cols accumulate zeros and are simply not written
+//     back), so there is a single microkernel path.
+//   * The gated pair (Swish2(a @ b) * (a @ b_gate)) converts both operands'
+//     strips in the same task and writes the product in one pass.
+//   * Parallelism only changes which thread owns a panel, never the
 //     arithmetic order inside an element.
 #include <algorithm>
 #include <cmath>
@@ -70,8 +75,8 @@ enum class Epilogue {
   kBias,        // C = float(acc) + bias[j]
   kGelu,        // C = GeluScalar(float(acc))
   kBiasGelu,    // C = GeluScalar(float(acc) + bias[j])
-  kSwishGate,   // C = Swish2Scalar(gate_in[i,j]) * float(acc); C may alias
-                // gate_in (in-place second matmul of the gated FFN)
+  kSwishGate,   // C = Swish2Scalar(float(acc)) * float(acc_gate), where
+                // acc_gate is the same chain against the second operand
   kAccumulate,  // C = C + float(acc): residual add fused into writeback.
                 // Reads each C element once, immediately before the store.
 };
@@ -89,7 +94,7 @@ struct NormA {
 struct KernelOpts {
   Epilogue ep = Epilogue::kNone;
   const float* bias = nullptr;
-  const float* gate = nullptr;
+  const float* b_gate = nullptr;  // second B operand of kSwishGate
   const NormA* norm = nullptr;
 };
 
@@ -101,9 +106,10 @@ inline double NormedA(const NormA& na, const float* A, i64 k, i64 i, i64 kk) {
       na.gain[kk]);
 }
 
-// Applies the epilogue to one row of kNR-padded double accumulators.
-inline void WritebackRow(Epilogue ep, const double* src, float* c, i64 jw,
-                         const float* bias_row, const float* gate_row) {
+// Applies the epilogue to one row of double accumulators (`gate` is the
+// kSwishGate operand's row, else unused).
+inline void WritebackRow(Epilogue ep, const double* src, const double* gate,
+                         float* c, i64 jw, const float* bias_row) {
   switch (ep) {
     case Epilogue::kNone:
       for (i64 j = 0; j < jw; ++j) c[j] = static_cast<float>(src[j]);
@@ -122,7 +128,8 @@ inline void WritebackRow(Epilogue ep, const double* src, float* c, i64 jw,
       break;
     case Epilogue::kSwishGate:
       for (i64 j = 0; j < jw; ++j)
-        c[j] = Swish2Scalar(gate_row[j]) * static_cast<float>(src[j]);
+        c[j] = Swish2Scalar(static_cast<float>(src[j])) *
+               static_cast<float>(gate[j]);
       break;
     case Epilogue::kAccumulate:
       for (i64 j = 0; j < jw; ++j) c[j] = c[j] + static_cast<float>(src[j]);
@@ -131,20 +138,19 @@ inline void WritebackRow(Epilogue ep, const double* src, float* c, i64 jw,
 }
 
 // One kMR x kNR register tile over the full kc depth. `first` selects
-// zero-init vs. continuing the chain from cacc. cacc rows are `cstride`
-// doubles apart.
+// zero-init vs. continuing the chain from cacc (kMR rows, kNR apart).
 #if defined(__AVX512F__)
 
 void MicroKernel(const double* ap, const double* bp, i64 kc, double* cacc,
-                 i64 cstride, bool first) {
+                 bool first) {
   __m512d acc[kMR][2];
   for (i64 r = 0; r < kMR; ++r) {
     if (first) {
       acc[r][0] = _mm512_setzero_pd();
       acc[r][1] = _mm512_setzero_pd();
     } else {
-      acc[r][0] = _mm512_loadu_pd(cacc + r * cstride);
-      acc[r][1] = _mm512_loadu_pd(cacc + r * cstride + 8);
+      acc[r][0] = _mm512_loadu_pd(cacc + r * kNR);
+      acc[r][1] = _mm512_loadu_pd(cacc + r * kNR + 8);
     }
   }
   for (i64 kk = 0; kk < kc; ++kk) {
@@ -158,23 +164,23 @@ void MicroKernel(const double* ap, const double* bp, i64 kc, double* cacc,
     }
   }
   for (i64 r = 0; r < kMR; ++r) {
-    _mm512_storeu_pd(cacc + r * cstride, acc[r][0]);
-    _mm512_storeu_pd(cacc + r * cstride + 8, acc[r][1]);
+    _mm512_storeu_pd(cacc + r * kNR, acc[r][0]);
+    _mm512_storeu_pd(cacc + r * kNR + 8, acc[r][1]);
   }
 }
 
 #elif defined(__AVX2__) && defined(__FMA__)
 
 void MicroKernel(const double* ap, const double* bp, i64 kc, double* cacc,
-                 i64 cstride, bool first) {
+                 bool first) {
   __m256d acc[kMR][2];
   for (i64 r = 0; r < kMR; ++r) {
     if (first) {
       acc[r][0] = _mm256_setzero_pd();
       acc[r][1] = _mm256_setzero_pd();
     } else {
-      acc[r][0] = _mm256_loadu_pd(cacc + r * cstride);
-      acc[r][1] = _mm256_loadu_pd(cacc + r * cstride + 4);
+      acc[r][0] = _mm256_loadu_pd(cacc + r * kNR);
+      acc[r][1] = _mm256_loadu_pd(cacc + r * kNR + 4);
     }
   }
   for (i64 kk = 0; kk < kc; ++kk) {
@@ -188,21 +194,21 @@ void MicroKernel(const double* ap, const double* bp, i64 kc, double* cacc,
     }
   }
   for (i64 r = 0; r < kMR; ++r) {
-    _mm256_storeu_pd(cacc + r * cstride, acc[r][0]);
-    _mm256_storeu_pd(cacc + r * cstride + 4, acc[r][1]);
+    _mm256_storeu_pd(cacc + r * kNR, acc[r][0]);
+    _mm256_storeu_pd(cacc + r * kNR + 4, acc[r][1]);
   }
 }
 
 #else
 
 void MicroKernel(const double* ap, const double* bp, i64 kc, double* cacc,
-                 i64 cstride, bool first) {
+                 bool first) {
   double acc[kMR][kNR];
   for (i64 r = 0; r < kMR; ++r) {
     if (first) {
       for (i64 j = 0; j < kNR; ++j) acc[r][j] = 0.0;
     } else {
-      std::memcpy(acc[r], cacc + r * cstride, sizeof acc[r]);
+      std::memcpy(acc[r], cacc + r * kNR, sizeof acc[r]);
     }
   }
   for (i64 kk = 0; kk < kc; ++kk) {
@@ -215,18 +221,19 @@ void MicroKernel(const double* ap, const double* bp, i64 kc, double* cacc,
     }
   }
   for (i64 r = 0; r < kMR; ++r)
-    std::memcpy(cacc + r * cstride, acc[r], sizeof acc[r]);
+    std::memcpy(cacc + r * kNR, acc[r], sizeof acc[r]);
 }
 
 #endif
 
-// Per-thread packing / accumulator scratch, reused across calls. Workers
-// inside ParallelFor write through raw pointers into the *caller's* scratch;
-// this struct only amortizes allocation per calling (chip) thread.
+// Per-thread scratch, reused across calls. A calling thread's `ap` holds the
+// call's packed A, which pool workers read through a raw pointer; `strip`
+// and `cacc` are private to whichever thread runs a panel task (the caller
+// participates, so it uses its own pair too).
 struct Scratch {
-  std::vector<double> bp;    // [np][kc][kNR]
-  std::vector<double> ap;    // [mt][kc][kMR]
-  std::vector<double> cacc;  // [mt*kMR][np*kNR]
+  std::vector<double> ap;     // [mt][k][kMR]
+  std::vector<double> strip;  // [operands][kKC][kNR]
+  std::vector<double> cacc;   // [operands][mt*kMR][kNR]
 };
 
 Scratch& LocalScratch() {
@@ -238,8 +245,10 @@ Scratch& LocalScratch() {
 // streams B rows instead of striding columns, same fma chain per element.
 void FallbackMatMul(const float* A, const float* B, float* C, i64 m, i64 k,
                     i64 n, const KernelOpts& opts) {
+  const i64 operands = opts.b_gate ? 2 : 1;
   std::vector<double>& acc = LocalScratch().cacc;
-  acc.resize(static_cast<size_t>(n));
+  acc.resize(static_cast<size_t>(operands * n));
+  double* acc_gate = opts.b_gate ? acc.data() + n : nullptr;
   for (i64 i = 0; i < m; ++i) {
     std::fill(acc.begin(), acc.end(), 0.0);
     for (i64 kk = 0; kk < k; ++kk) {
@@ -249,82 +258,91 @@ void FallbackMatMul(const float* A, const float* B, float* C, i64 m, i64 k,
       for (i64 j = 0; j < n; ++j)
         acc[static_cast<size_t>(j)] =
             std::fma(av, static_cast<double>(brow[j]), acc[static_cast<size_t>(j)]);
+      if (acc_gate != nullptr) {
+        const float* grow = opts.b_gate + kk * n;
+        for (i64 j = 0; j < n; ++j)
+          acc_gate[j] = std::fma(av, static_cast<double>(grow[j]), acc_gate[j]);
+      }
     }
-    WritebackRow(opts.ep, acc.data(), C + i * n, n, opts.bias,
-                 opts.gate ? opts.gate + i * n : nullptr);
+    WritebackRow(opts.ep, acc.data(), acc_gate, C + i * n, n, opts.bias);
   }
 }
 
-// Blocked kernel over the caller's scratch; see file comment for the scheme.
+// Converts B[0:kc, 0:jw] (row stride n) into a kc x kNR double strip,
+// zero-padding the columns past a ragged panel's width. Full panels (all but
+// the last) take the constant-trip loop, which the compiler vectorizes.
+void ConvertStrip(const float* B, i64 n, i64 kc, i64 jw, double* dst) {
+  if (jw == kNR) {
+    for (i64 kk = 0; kk < kc; ++kk) {
+      const float* src = B + kk * n;
+      double* row = dst + kk * kNR;
+      for (i64 j = 0; j < kNR; ++j) row[j] = static_cast<double>(src[j]);
+    }
+    return;
+  }
+  for (i64 kk = 0; kk < kc; ++kk) {
+    const float* src = B + kk * n;
+    double* row = dst + kk * kNR;
+    for (i64 j = 0; j < jw; ++j) row[j] = static_cast<double>(src[j]);
+    for (i64 j = jw; j < kNR; ++j) row[j] = 0.0;
+  }
+}
+
+// Blocked kernel; see the file comment for the scheme.
 void BlockedMatMul(ThreadPool& pool, const float* A, const float* B, float* C,
                    i64 m, i64 k, i64 n, const KernelOpts& opts) {
   const i64 np = (n + kNR - 1) / kNR;  // B panels
   const i64 mt = (m + kMR - 1) / kMR;  // A row tiles
-  Scratch& scratch = LocalScratch();
-  scratch.bp.resize(static_cast<size_t>(np * kKC * kNR));
-  scratch.ap.resize(static_cast<size_t>(mt * kKC * kMR));
-  scratch.cacc.resize(static_cast<size_t>(mt * kMR * np * kNR));
-  double* Bp = scratch.bp.data();
-  double* Ap = scratch.ap.data();
-  double* Cacc = scratch.cacc.data();
-  const i64 cstride = np * kNR;
+  const i64 operands = opts.b_gate ? 2 : 1;
+  const float* Bs[2] = {B, opts.b_gate};
 
-  for (i64 k0 = 0; k0 < k; k0 += kKC) {
-    const i64 kc = std::min(kKC, k - k0);
-    const bool first = (k0 == 0);
-    // Pack B[k0:k0+kc, :] into double panels, zero-padding ragged widths.
-    pool.ParallelFor(np, 1, [&](i64 p_begin, i64 p_end) {
-      for (i64 p = p_begin; p < p_end; ++p) {
-        const i64 j0 = p * kNR, jw = std::min(kNR, n - j0);
-        double* dst = Bp + p * kc * kNR;
-        for (i64 kk = 0; kk < kc; ++kk) {
-          const float* src = B + (k0 + kk) * n + j0;
-          for (i64 j = 0; j < jw; ++j)
-            dst[kk * kNR + j] = static_cast<double>(src[j]);
-          for (i64 j = jw; j < kNR; ++j) dst[kk * kNR + j] = 0.0;
-        }
+  // Pack A into double tiles [kk][kMR] (broadcast-friendly), zero-padding
+  // ragged heights so the microkernel is always full-tile. The row-norm
+  // transform, if any, is applied here: the normalized operand is never
+  // materialized as a tensor.
+  std::vector<double>& ap_buf = LocalScratch().ap;
+  ap_buf.resize(static_cast<size_t>(mt * k * kMR));
+  double* Ap = ap_buf.data();
+  pool.ParallelFor(mt, 1, [&](i64 t_begin, i64 t_end) {
+    for (i64 t = t_begin; t < t_end; ++t) {
+      const i64 i0 = t * kMR, mr = std::min(kMR, m - i0);
+      double* dst = Ap + t * k * kMR;
+      for (i64 kk = 0; kk < k; ++kk) {
+        for (i64 r = 0; r < mr; ++r)
+          dst[kk * kMR + r] =
+              opts.norm ? NormedA(*opts.norm, A, k, i0 + r, kk)
+                        : static_cast<double>(A[(i0 + r) * k + kk]);
+        for (i64 r = mr; r < kMR; ++r) dst[kk * kMR + r] = 0.0;
       }
-    });
-    // Pack A[:, k0:k0+kc] into double tiles [kk][kMR] (broadcast-friendly),
-    // zero-padding ragged heights so the microkernel is always full-tile.
-    // The row-norm transform, if any, is applied here at pack time: the
-    // normalized operand is never materialized as a tensor.
-    pool.ParallelFor(mt, 1, [&](i64 t_begin, i64 t_end) {
-      for (i64 t = t_begin; t < t_end; ++t) {
-        const i64 i0 = t * kMR, mr = std::min(kMR, m - i0);
-        double* dst = Ap + t * kc * kMR;
-        for (i64 kk = 0; kk < kc; ++kk) {
-          for (i64 r = 0; r < mr; ++r)
-            dst[kk * kMR + r] =
-                opts.norm ? NormedA(*opts.norm, A, k, i0 + r, k0 + kk)
-                          : static_cast<double>(A[(i0 + r) * k + k0 + kk]);
-          for (i64 r = mr; r < kMR; ++r) dst[kk * kMR + r] = 0.0;
-        }
-      }
-    });
-    // Compute: each row tile sweeps all panels at this depth. Padded rows
-    // accumulate zeros into padded cacc rows and are never written back.
-    pool.ParallelFor(mt, 1, [&](i64 t_begin, i64 t_end) {
-      for (i64 t = t_begin; t < t_end; ++t) {
-        const double* ap = Ap + t * kc * kMR;
-        for (i64 p = 0; p < np; ++p) {
-          MicroKernel(ap, Bp + p * kc * kNR, kc,
-                      Cacc + (t * kMR * np + p) * kNR, cstride, first);
-        }
-      }
-    });
-  }
+    }
+  });
 
-  // Epilogue + float writeback.
-  pool.ParallelFor(m, 16, [&](i64 i_begin, i64 i_end) {
-    for (i64 i = i_begin; i < i_end; ++i) {
-      const double* crow = Cacc + i * cstride;
-      for (i64 p = 0; p < np; ++p) {
-        const i64 j0 = p * kNR, jw = std::min(kNR, n - j0);
-        WritebackRow(opts.ep, crow + p * kNR, C + i * n + j0, jw,
-                     opts.bias ? opts.bias + j0 : nullptr,
-                     opts.gate ? opts.gate + i * n + j0 : nullptr);
+  // Compute + writeback, one column panel per step. Padded rows accumulate
+  // zeros into padded cacc rows and are never written back.
+  pool.ParallelFor(np, 1, [&](i64 p_begin, i64 p_end) {
+    Scratch& local = LocalScratch();
+    local.strip.resize(static_cast<size_t>(operands * kKC * kNR));
+    local.cacc.resize(static_cast<size_t>(operands * mt * kMR * kNR));
+    double* strip = local.strip.data();
+    double* cacc = local.cacc.data();
+    const i64 cacc_size = mt * kMR * kNR;
+    const double* cacc_gate = opts.b_gate ? cacc + cacc_size : nullptr;
+    for (i64 p = p_begin; p < p_end; ++p) {
+      const i64 j0 = p * kNR, jw = std::min(kNR, n - j0);
+      for (i64 k0 = 0; k0 < k; k0 += kKC) {
+        const i64 kc = std::min(kKC, k - k0);
+        for (i64 o = 0; o < operands; ++o)
+          ConvertStrip(Bs[o] + k0 * n + j0, n, kc, jw, strip + o * kKC * kNR);
+        for (i64 t = 0; t < mt; ++t) {
+          for (i64 o = 0; o < operands; ++o)
+            MicroKernel(Ap + (t * k + k0) * kMR, strip + o * kKC * kNR, kc,
+                        cacc + o * cacc_size + t * kMR * kNR, k0 == 0);
+        }
       }
+      for (i64 i = 0; i < m; ++i)
+        WritebackRow(opts.ep, cacc + i * kNR,
+                     cacc_gate ? cacc_gate + i * kNR : nullptr, C + i * n + j0,
+                     jw, opts.bias ? opts.bias + j0 : nullptr);
     }
   });
 }
@@ -421,24 +439,17 @@ Tensor MatMulBiasGelu(const Tensor& a, const Tensor& b, const Tensor& bias) {
 
 namespace {
 
-// Shared body of the gated-FFN fusion: h = a @ b, then in-place
-// h = Swish2(h) * (a @ b_gate); the second kernel reads each gate input
-// h[i,j] immediately before overwriting it.
+// Shared body of the gated-FFN fusion: Swish2(a @ b) * (a @ b_gate), both
+// chains computed in the same panel task and written in one pass.
 Tensor SwishMulGateImpl(const Tensor& a, const Tensor& b, const Tensor& b_gate,
                         const NormA* norm) {
   TSI_CHECK(b.SameShape(b_gate))
       << ShapeToString(b.shape()) << " vs " << ShapeToString(b_gate.shape());
-  KernelOpts first;
-  first.norm = norm;
-  Tensor h = MatMulImpl(ThreadPool::Global(), a, b, first);
-  int64_t k = a.dim(-1);
-  KernelOpts second;
-  second.ep = Epilogue::kSwishGate;
-  second.gate = h.data();
-  second.norm = norm;
-  MatMul2D(ThreadPool::Global(), a.data(), b_gate.data(), h.data(),
-           a.numel() / k, k, b_gate.dim(1), second);
-  return h;
+  KernelOpts opts;
+  opts.ep = Epilogue::kSwishGate;
+  opts.b_gate = b_gate.data();
+  opts.norm = norm;
+  return MatMulImpl(ThreadPool::Global(), a, b, opts);
 }
 
 }  // namespace

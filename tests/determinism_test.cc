@@ -5,12 +5,15 @@
 //  * Results are bit-identical for 1/2/8-thread pools: tiling and work
 //    distribution never change the arithmetic order inside an element.
 //  * The fused epilogues equal their unfused compositions bitwise.
+//  * All of the above hold at decode shapes (a few rows against a wide
+//    weight), also when several SPMD chip threads share the pool at once.
 //  * The rendezvous ExchangeHub stays correct (and TSan-clean; see
 //    tools/check.sh) under many groups and repeated epochs.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "sim/exchange.h"
@@ -63,10 +66,23 @@ struct Case {
 };
 
 // Ragged and aligned shapes: tile edges, single elements, k crossing the
-// kernel's K-block boundary, and a multi-block-every-which-way case.
-const Case kCases[] = {{7, 13, 9},   {33, 65, 47}, {64, 128, 96},
-                       {1, 1, 1},    {17, 520, 31}, {40, 1100, 70},
-                       {128, 64, 256}};
+// kernel's K-block boundary, and a multi-block-every-which-way case. The
+// second group is decode-shaped -- m = 1..16 lanes against a weight, each
+// with m*k*n > 2^15 and n >= 16 so the blocked (panel-parallel) path runs,
+// not the small-size fallback; k crosses the 512-deep K block and n is one
+// full panel, ragged (n % 16 != 0), or several panels.
+const Case kCases[] = {{7, 13, 9},     {33, 65, 47},   {64, 128, 96},
+                       {1, 1, 1},      {17, 520, 31},  {40, 1100, 70},
+                       {128, 64, 256},
+                       {1, 2600, 16},  {1, 1100, 70},  {1, 600, 100},
+                       {3, 2600, 16},  {3, 1100, 70},  {3, 600, 100},
+                       {8, 2600, 16},  {8, 1100, 70},  {8, 600, 100},
+                       {16, 2600, 16}, {16, 1100, 70}, {16, 600, 100}};
+
+std::string Name(const Case& c) {
+  return std::to_string(c.m) + "x" + std::to_string(c.k) + "x" +
+         std::to_string(c.n);
+}
 
 TEST(MatMulDeterminismTest, MatchesGoldenScalarReferenceExactly) {
   Rng rng(11);
@@ -74,7 +90,7 @@ TEST(MatMulDeterminismTest, MatchesGoldenScalarReferenceExactly) {
     Tensor a = Tensor::Gaussian({c.m, c.k}, rng);
     Tensor b = Tensor::Gaussian({c.k, c.n}, rng);
     EXPECT_TRUE(BitIdentical(MatMul(a, b), GoldenMatMul(a, b)))
-        << c.m << "x" << c.k << "x" << c.n;
+        << Name(c);
   }
 }
 
@@ -88,8 +104,8 @@ TEST(MatMulDeterminismTest, BitIdenticalAcrossPoolSizes) {
     Tensor r1 = MatMul(pool1, a, b);
     Tensor r2 = MatMul(pool2, a, b);
     Tensor r8 = MatMul(pool8, a, b);
-    EXPECT_TRUE(BitIdentical(r1, r2)) << c.m << "x" << c.k << "x" << c.n;
-    EXPECT_TRUE(BitIdentical(r1, r8)) << c.m << "x" << c.k << "x" << c.n;
+    EXPECT_TRUE(BitIdentical(r1, r2)) << Name(c);
+    EXPECT_TRUE(BitIdentical(r1, r8)) << Name(c);
   }
 }
 
@@ -137,6 +153,75 @@ TEST(FusedEpilogueTest, MatMulSwishMulGateEqualsComposition) {
   Tensor wgate = Tensor::Gaussian({130, 52}, rng);
   Tensor unfused = Swish2(MatMul(a, win)).Mul(MatMul(a, wgate));
   EXPECT_TRUE(BitIdentical(MatMulSwishMulGate(a, win, wgate), unfused));
+}
+
+TEST(FusedEpilogueTest, AllVariantsEqualCompositionsAtEveryShape) {
+  Rng rng(23);
+  for (const Case& c : kCases) {
+    Tensor x = Tensor::Gaussian({c.m, c.k}, rng);
+    Tensor gain = Tensor::Gaussian({c.k}, rng);
+    Tensor w = Tensor::Gaussian({c.k, c.n}, rng);
+    Tensor wg = Tensor::Gaussian({c.k, c.n}, rng);
+    Tensor bias = Tensor::Gaussian({c.n}, rng);
+    const Tensor y = LayerNorm(x, gain);
+    const RowNormTransform nt = NormTransformFromRows(x, gain);
+
+    EXPECT_TRUE(BitIdentical(MatMulNormA(x, nt, w), MatMul(y, w))) << Name(c);
+    EXPECT_TRUE(BitIdentical(MatMulNormAGelu(x, nt, w), Gelu(MatMul(y, w))))
+        << Name(c);
+    EXPECT_TRUE(BitIdentical(MatMulNormASwishMulGate(x, nt, w, wg),
+                             Swish2(MatMul(y, w)).Mul(MatMul(y, wg))))
+        << Name(c);
+    EXPECT_TRUE(BitIdentical(MatMulSwishMulGate(x, w, wg),
+                             Swish2(MatMul(x, w)).Mul(MatMul(x, wg))))
+        << Name(c);
+    EXPECT_TRUE(BitIdentical(MatMulBias(x, w, bias), AddBias(MatMul(x, w), bias)))
+        << Name(c);
+
+    Tensor acc = Tensor::Gaussian({c.m, c.n}, rng);
+    Tensor want = acc;
+    want.AddInPlace(MatMul(x, w));
+    MatMulAccumulate(x, w, &acc);
+    EXPECT_TRUE(BitIdentical(acc, want)) << Name(c);
+  }
+}
+
+TEST(MatMulDeterminismTest, ConcurrentCallersMatchSoloCalls) {
+  // The SPMD engine's pattern: every chip thread runs its own matmuls on the
+  // one shared pool at the same time, so panel tasks of different calls
+  // interleave on the workers and their thread-local strip buffers.
+  constexpr int kSlots = 4;
+  constexpr int kRounds = 3;
+  ThreadPool pool(3);
+  struct Solo {
+    Tensor a, b, g, mm, gated;
+  };
+  std::vector<Solo> solo;
+  Rng rng(24);
+  for (const Case& c : kCases) {
+    Solo s;
+    s.a = Tensor::Gaussian({c.m, c.k}, rng);
+    s.b = Tensor::Gaussian({c.k, c.n}, rng);
+    s.g = Tensor::Gaussian({c.k, c.n}, rng);
+    s.mm = MatMul(pool, s.a, s.b);
+    s.gated = MatMulSwishMulGate(s.a, s.b, s.g);
+    solo.push_back(std::move(s));
+  }
+  // Each slot walks the cases from a different offset, so concurrent calls
+  // have different shapes (and resize their buffers differently).
+  std::vector<int> mismatches(kSlots, 0);
+  pool.RunBlocking(kSlots, [&](int slot) {
+    for (int round = 0; round < kRounds; ++round) {
+      for (size_t i = 0; i < solo.size(); ++i) {
+        const Solo& s = solo[(i + static_cast<size_t>(slot) * 5) % solo.size()];
+        if (!BitIdentical(MatMul(pool, s.a, s.b), s.mm)) ++mismatches[slot];
+        if (!BitIdentical(MatMulSwishMulGate(s.a, s.b, s.g), s.gated))
+          ++mismatches[slot];
+      }
+    }
+  });
+  for (int slot = 0; slot < kSlots; ++slot)
+    EXPECT_EQ(mismatches[slot], 0) << "slot " << slot;
 }
 
 TEST(ExchangeHubTest, SharesDepositsWithoutCopying) {

@@ -32,6 +32,12 @@
 #                             # it against the tracked BENCH_plan.json, and
 #                             # round-trip a freshly tuned tiny-model cache
 #                             # through plan_cli validate --functional
+#   tools/check.sh asan       # additionally build an AddressSanitizer +
+#                             # UndefinedBehaviorSanitizer configuration
+#                             # (-DTSI_ASAN=ON) and run the kernel, quant,
+#                             # fast-path, engine, serving and edge-case
+#                             # suites on it (out-of-bounds tile/strip/page
+#                             # indexing, overflow, misaligned access)
 #   tools/check.sh disagg     # additionally re-run the disaggregated-serving
 #                             # suites under TSan with 8 SPMD slots forced
 #                             # (two engines' thread pools live at once during
@@ -94,6 +100,19 @@ if [[ "${1:-}" == "paged" ]]; then
   TSI_SPMD_SLOTS=8 TSI_NUM_THREADS=8 \
     ctest --test-dir "$repo/build-check-tsan" --output-on-failure -j "$jobs" \
           -R 'sharding_test|engine_test|serve_test|edge_cases_test'
+fi
+
+if [[ "${1:-}" == "asan" ]]; then
+  # Memory/UB check of the raw-pointer kernels (packed A tiles, per-panel B
+  # strips, accumulator tiles) and the engine paths that drive them. Any
+  # sanitizer report fails the test that triggered it.
+  echo "== AddressSanitizer + UBSan build =="
+  cmake -B "$repo/build-check-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DTSI_ASAN=ON >/dev/null
+  cmake --build "$repo/build-check-asan" -j "$jobs"
+  UBSAN_OPTIONS=print_stacktrace=1 \
+    ctest --test-dir "$repo/build-check-asan" --output-on-failure -j "$jobs" \
+          -R 'determinism_test|tensor_test|fastpath_test|quant_test|engine_test|serve_test|edge_cases_test'
 fi
 
 if [[ "${1:-}" == "disagg" ]]; then
