@@ -6,9 +6,10 @@
 // records each and must not clobber the kernel numbers. MergeIntoBenchJson
 // re-reads the existing document with util/json's parser, upserts records
 // keyed by (op, shape), and rewrites the file in JsonFileReporter's exact
-// format, so the perf trajectory accumulates across binaries. The document
-// also records the host of its latest writer (cores, ISA, pool threads), so
-// numbers from different machines are never compared unknowingly.
+// format, so the perf trajectory accumulates across binaries. Every record
+// written also carries the host that measured it (cores, ISA, pool threads),
+// so numbers from different machines are never compared unknowingly; rows
+// kept from before hosts were recorded have no `host`.
 #pragma once
 
 #include <cstdio>
@@ -37,10 +38,28 @@ struct MicroRecord {
   double gflops = 0.0;
 };
 
-inline std::vector<MicroRecord> ReadBenchJson(const std::string& path) {
-  std::vector<MicroRecord> recs;
+// A document row: a measurement and the host that took it, as a JSON object
+// (HostJson); empty for rows kept from before hosts were recorded.
+struct BenchRow {
+  MicroRecord rec;
+  std::string host;
+};
+
+inline std::string FormatHost(unsigned cores, bool avx2, bool avx512f,
+                              int threads) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "{\"cores\": %u, \"avx2\": %s, \"avx512f\": %s, "
+                "\"threads\": %d}",
+                cores, avx2 ? "true" : "false", avx512f ? "true" : "false",
+                threads);
+  return buf;
+}
+
+inline std::vector<BenchRow> ReadBenchJson(const std::string& path) {
+  std::vector<BenchRow> rows;
   std::ifstream in(path);
-  if (!in) return recs;  // first run: nothing to merge with
+  if (!in) return rows;  // first run: nothing to merge with
   std::stringstream ss;
   ss << in.rdbuf();
   JsonValue doc;
@@ -48,19 +67,29 @@ inline std::vector<MicroRecord> ReadBenchJson(const std::string& path) {
   if (!ParseJson(ss.str(), &doc, &err)) {
     TSI_LOG(ERROR) << "ReadBenchJson: " << path << " unparseable (" << err
                    << "); treating as empty";
-    return recs;
+    return rows;
   }
   const JsonValue* arr = doc.Find("benchmarks");
-  if (arr == nullptr || !arr->is_array()) return recs;
+  if (arr == nullptr || !arr->is_array()) return rows;
   for (const JsonValue& v : arr->array) {
-    MicroRecord r;
-    r.op = v.StringOr("op", "");
-    r.shape = v.StringOr("shape", "");
-    r.ns_per_iter = v.NumberOr("ns_per_iter", 0.0);
-    r.gflops = v.NumberOr("gflops", 0.0);
-    if (!r.op.empty()) recs.push_back(std::move(r));
+    BenchRow r;
+    r.rec.op = v.StringOr("op", "");
+    r.rec.shape = v.StringOr("shape", "");
+    r.rec.ns_per_iter = v.NumberOr("ns_per_iter", 0.0);
+    r.rec.gflops = v.NumberOr("gflops", 0.0);
+    const JsonValue* host = v.Find("host");
+    if (host != nullptr && host->is_object()) {
+      auto flag = [&](const char* key) {
+        const JsonValue* f = host->Find(key);
+        return f != nullptr && f->boolean;
+      };
+      r.host = FormatHost(static_cast<unsigned>(host->NumberOr("cores", 0)),
+                          flag("avx2"), flag("avx512f"),
+                          static_cast<int>(host->NumberOr("threads", 0)));
+    }
+    if (!r.rec.op.empty()) rows.push_back(std::move(r));
   }
-  return recs;
+  return rows;
 }
 
 // The host this process runs on: hardware threads, the x86 vector ISAs the
@@ -72,56 +101,53 @@ inline std::string HostJson() {
   avx2 = __builtin_cpu_supports("avx2");
   avx512f = __builtin_cpu_supports("avx512f");
 #endif
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "{\"cores\": %u, \"avx2\": %s, \"avx512f\": %s, "
-                "\"threads\": %d}",
-                std::thread::hardware_concurrency(), avx2 ? "true" : "false",
-                avx512f ? "true" : "false",
-                ThreadPool::Global().concurrency());
-  return buf;
+  return FormatHost(std::thread::hardware_concurrency(), avx2, avx512f,
+                    ThreadPool::Global().concurrency());
 }
 
 inline void WriteBenchJson(const std::string& path,
-                           const std::vector<MicroRecord>& recs) {
+                           const std::vector<BenchRow>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     TSI_LOG(ERROR) << "WriteBenchJson: cannot write " << path;
     return;
   }
-  std::fprintf(f, "{\n  \"host\": %s,\n  \"benchmarks\": [\n",
-               HostJson().c_str());
-  for (size_t i = 0; i < recs.size(); ++i) {
-    const MicroRecord& r = recs[i];
+  std::fprintf(f, "{\n  \"benchmarks\": [\n");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const MicroRecord& r = rows[i].rec;
+    const std::string& host = rows[i].host;
     std::fprintf(f,
                  "    {\"op\": %s, \"shape\": %s, "
-                 "\"ns_per_iter\": %.1f, \"gflops\": %.3f}%s\n",
+                 "\"ns_per_iter\": %.1f, \"gflops\": %.3f%s%s}%s\n",
                  JsonEscape(r.op).c_str(), JsonEscape(r.shape).c_str(),
-                 r.ns_per_iter, r.gflops, i + 1 < recs.size() ? "," : "");
+                 r.ns_per_iter, r.gflops, host.empty() ? "" : ", \"host\": ",
+                 host.c_str(), i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 }
 
-// Upserts `updates` into the document at `path` keyed by (op, shape);
-// existing records keep their position, new ones append.
+// Upserts `updates` into the document at `path` keyed by (op, shape),
+// stamping each with this process's host; existing records keep their
+// position (and their own host), new ones append.
 inline void MergeIntoBenchJson(const std::string& path,
                                const std::vector<MicroRecord>& updates) {
-  std::vector<MicroRecord> recs = ReadBenchJson(path);
+  std::vector<BenchRow> rows = ReadBenchJson(path);
+  const std::string host = HostJson();
   for (const MicroRecord& u : updates) {
     bool replaced = false;
-    for (MicroRecord& r : recs) {
-      if (r.op == u.op && r.shape == u.shape) {
-        r = u;
+    for (BenchRow& r : rows) {
+      if (r.rec.op == u.op && r.rec.shape == u.shape) {
+        r = BenchRow{u, host};
         replaced = true;
         break;
       }
     }
-    if (!replaced) recs.push_back(u);
+    if (!replaced) rows.push_back(BenchRow{u, host});
   }
-  WriteBenchJson(path, recs);
+  WriteBenchJson(path, rows);
   TSI_LOG(INFO) << "merged " << updates.size() << " records into " << path
-                << " (" << recs.size() << " total)";
+                << " (" << rows.size() << " total)";
 }
 
 }  // namespace tsi

@@ -269,17 +269,8 @@ void FallbackMatMul(const float* A, const float* B, float* C, i64 m, i64 k,
 }
 
 // Converts B[0:kc, 0:jw] (row stride n) into a kc x kNR double strip,
-// zero-padding the columns past a ragged panel's width. Full panels (all but
-// the last) take the constant-trip loop, which the compiler vectorizes.
+// zero-padding the columns past a ragged panel's width.
 void ConvertStrip(const float* B, i64 n, i64 kc, i64 jw, double* dst) {
-  if (jw == kNR) {
-    for (i64 kk = 0; kk < kc; ++kk) {
-      const float* src = B + kk * n;
-      double* row = dst + kk * kNR;
-      for (i64 j = 0; j < kNR; ++j) row[j] = static_cast<double>(src[j]);
-    }
-    return;
-  }
   for (i64 kk = 0; kk < kc; ++kk) {
     const float* src = B + kk * n;
     double* row = dst + kk * kNR;
